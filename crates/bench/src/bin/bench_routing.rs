@@ -16,8 +16,9 @@
 //! * `packed` — the steady-state path: a held [`RoutePlan`] running the
 //!   bit-packed `u64` star-sort via `route_into` into a reused
 //!   [`RouteBuf`], zero heap allocation;
-//! * batch throughput — [`route_batch`] (packed structure-of-arrays
-//!   lanes) at 1 thread and at the machine's parallelism.
+//! * batch throughput — [`route_batch`] (`route_into` per pair into one
+//!   reused buffer per thread) at 1 thread and at the machine's
+//!   parallelism.
 //!
 //! Every pair is cross-checked: packed ≡ planner ≡ legacy byte for byte.
 //! The acceptance record carries `packed_le_planner`; `check_bench_json`
@@ -396,8 +397,8 @@ fn main() {
          byte-array star-sort over held-plan star_link slices; packed = held\n\
          plan + bit-packed u64 star-sort via route_into into a reused RouteBuf\n\
          (allocation-free steady state). Batch columns are route_batch\n\
-         pairs/second at 1 thread and at full parallelism, on packed\n\
-         structure-of-arrays lanes.\n\n",
+         pairs/second at 1 thread and at full parallelism, route_into per\n\
+         pair into one reused RouteBuf per thread.\n\n",
     );
     report.push_str(&table);
     report.push_str(&format!(

@@ -6,9 +6,9 @@
 //! host's compiled [`RoutePlan`](scg_core::RoutePlan) (shared through the
 //! process-wide topology cache with the embedding and emulation layers),
 //! so a workload of thousands of pairs costs no per-pair planning or
-//! allocation. Since the packed-kernel rewrite the batch keeps each
-//! pair's routing state in one `u64` lane (structure-of-arrays, `k ≤ 16`),
-//! so the congestion sweeps here ride the word-parallel star-sort too. The report tallies the per-generator link loads — the
+//! allocation. Each pair routes through the planner's packed `u64`
+//! star-sort (`k ≤ 16`), so the congestion sweeps here ride the
+//! word-parallel kernel too. The report tallies the per-generator link loads — the
 //! bottleneck generator count is the congestion proxy an offline
 //! scheduler would pipeline against.
 

@@ -64,7 +64,7 @@ pub fn scg_route(
 /// before fanning out to it pays off.
 ///
 /// A scoped-thread spawn plus join costs on the order of 50 µs; a routed
-/// pair costs ~100–200 ns through the packed lanes, so a thread needs a
+/// pair costs ~100–200 ns through `route_into`, so a thread needs a
 /// few thousand pairs before the spawn amortizes. Below this floor
 /// `route_batch` shrinks the thread count (down to running entirely on
 /// the caller's thread), which fixed the small-batch regression where
@@ -75,11 +75,10 @@ pub const MIN_PAIRS_PER_THREAD: usize = 2048;
 /// threads, returning the paths in input order.
 ///
 /// Each thread shares the network's compiled [`RoutePlan`] and drives its
-/// chunk through [`RoutePlan::route_chunk`]: per-pair routing state is a
-/// packed `u64` lane in a reused [`BatchState`] (structure-of-arrays, so
-/// the pack pass vectorizes), and hop emission reuses one
-/// [`RouteBuf`] — no per-pair planning or allocation beyond the returned
-/// vectors. `threads` is clamped to `1..=pairs.len()`, and small batches
+/// chunk through [`RoutePlan::route_chunk`], which routes pair by pair
+/// with [`RoutePlan::route_into`] into one reused [`RouteBuf`] — no
+/// per-pair planning or allocation beyond the returned vectors.
+/// `threads` is clamped to `1..=pairs.len()`, and small batches
 /// skip the fan-out entirely: spawning a scoped thread costs tens of
 /// microseconds while a routed pair costs ~100–200 ns, so below
 /// [`MIN_PAIRS_PER_THREAD`] pairs per thread the spawn overhead swamps

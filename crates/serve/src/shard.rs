@@ -2,7 +2,7 @@
 //! owning a shard-local [`TopologyCache`] and per-network fault state.
 //!
 //! Connections are pinned to shards, so the hot path — decode, plan
-//! lookup, packed batch routing, streaming reply encode — touches no
+//! lookup, per-pair routing, streaming reply encode — touches no
 //! lock any other core is using. Vertex-transitivity makes this sharding
 //! free: routing needs no shared per-source state, so shards never
 //! coordinate except on *fault* events, which are rare and flow through
@@ -16,16 +16,16 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use scg_core::{
-    scg_route_faulty_with, CoreError, Generator, Materialized, SuperCayleyGraph, TopologyCache,
-    DEFAULT_NET_CAP,
+    scg_route_faulty_with, CoreError, Materialized, RouteBuf, RoutePlan, SuperCayleyGraph,
+    TopologyCache, DEFAULT_NET_CAP,
 };
 use scg_graph::{ChaosEvent, FaultSet};
 use scg_perm::Perm;
 
 use crate::metrics::ServeMetrics;
 use crate::wire::{
-    begin_frame, decode_request, encode_error_into, end_frame, ErrCode, FrameType, NetId, Request,
-    FLAG_DETOURED, FLAG_FALLBACK,
+    begin_frame, decode_request, encode_error_into, encode_route_item, end_frame, ErrCode,
+    FrameType, NetId, Request, FLAG_DETOURED, FLAG_FALLBACK,
 };
 
 /// The cross-shard fault log: every `FAULT_REPORT` is appended here so
@@ -107,14 +107,66 @@ impl FaultJournal {
 #[derive(Debug)]
 struct NetState {
     net: SuperCayleyGraph,
-    plan: Arc<scg_core::RoutePlan>,
+    plan: Arc<RoutePlan>,
     /// Materialized lazily: node ids are only needed once faults exist
     /// (detour search and survivor BFS).
     mat: Option<Materialized>,
     faults: FaultSet,
-    /// Reusable per-pair hop buffers for batch routing (capacity
-    /// persists across frames).
-    batch_out: Vec<Vec<Generator>>,
+    /// The hop buffer every clean route of this network is planned into,
+    /// pre-sized for the worst case so it never grows.
+    buf: RouteBuf,
+}
+
+impl NetState {
+    /// Routes one pair and appends its reply item (see
+    /// [`encode_route_item`]) to `out`, recording the route metrics.
+    /// `mat` is `None` while the network is fault-free: the plan routes
+    /// into the reused buffer. Otherwise the fault-aware router runs over
+    /// the materialized network and may detour or fall back.
+    ///
+    /// On failure nothing is appended; a refusal (`NoRoute`) bumps
+    /// `refused`, and the caller decides how the error is reported.
+    fn route_pair(
+        &mut self,
+        mat: Option<&Materialized>,
+        from: &Perm,
+        to: &Perm,
+        metrics: &ServeMetrics,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ErrCode> {
+        let routed = match mat {
+            None => self.plan.route_into(from, to, &mut self.buf).map(|()| None),
+            Some(mat) => {
+                scg_route_faulty_with(&self.plan, &self.net, mat, from, to, &self.faults).map(Some)
+            }
+        };
+        let routed = routed.map_err(|e| {
+            let code = map_core_err(e);
+            if code == ErrCode::NoRoute {
+                metrics.refused.inc();
+            }
+            code
+        })?;
+        let (flags, hops) = match &routed {
+            None => (0, self.buf.hops()),
+            Some(path) => {
+                let mut flags = 0;
+                if path.detours > 0 {
+                    flags |= FLAG_DETOURED;
+                    metrics.detoured.inc();
+                }
+                if path.fallback_used {
+                    flags |= FLAG_FALLBACK;
+                    metrics.fallback.inc();
+                }
+                (flags, path.hops.as_slice())
+            }
+        };
+        metrics.routes.inc();
+        metrics.hops.observe(hops.len() as u64);
+        encode_route_item(out, flags, hops);
+        Ok(())
+    }
 }
 
 /// What handling one frame asks of the event loop.
@@ -222,61 +274,20 @@ impl ShardCore {
     }
 
     fn handle_route(&mut self, net_id: NetId, from: &Perm, to: &Perm, out: &mut Vec<u8>) {
-        match self.route_one(net_id, from, to) {
-            Ok((flags, hops)) => {
-                self.metrics.routes.inc();
-                self.metrics.hops.observe(hops.len() as u64);
-                if flags & FLAG_DETOURED != 0 {
-                    self.metrics.detoured.inc();
-                }
-                if flags & FLAG_FALLBACK != 0 {
-                    self.metrics.fallback.inc();
-                }
-                let at = begin_frame(out, FrameType::RouteOk);
-                out.push(flags);
-                out.extend_from_slice(&(hops.len() as u16).to_le_bytes());
-                for &g in &hops {
-                    push_generator(out, g);
-                }
-                end_frame(out, at);
-            }
+        let at = begin_frame(out, FrameType::RouteOk);
+        let routed =
+            resolve_in(&mut self.nets, &self.cache, &self.journal, net_id).and_then(|state| {
+                let mat = degraded_mat(state, &self.cache)?;
+                state.route_pair(mat.as_ref(), from, to, &self.metrics, out)
+            });
+        match routed {
+            Ok(()) => end_frame(out, at),
             Err(code) => {
-                if code == ErrCode::NoRoute {
-                    self.metrics.refused.inc();
-                }
+                out.truncate(at);
                 self.metrics.inc_error(code);
                 encode_error_into(out, code, "");
             }
         }
-    }
-
-    /// Routes one pair, degraded-aware. Returns `(flags, hops)`.
-    fn route_one(
-        &mut self,
-        net_id: NetId,
-        from: &Perm,
-        to: &Perm,
-    ) -> Result<(u8, Vec<Generator>), ErrCode> {
-        let state = resolve_in(&mut self.nets, &self.cache, &self.journal, net_id)?;
-        if state.faults.is_empty() {
-            let mut buf = state.plan.new_buf();
-            state
-                .plan
-                .route_into(from, to, &mut buf)
-                .map_err(map_core_err)?;
-            return Ok((0, buf.into_hops()));
-        }
-        let mat = ensure_mat(state, &self.cache)?;
-        let routed = scg_route_faulty_with(&state.plan, &state.net, &mat, from, to, &state.faults)
-            .map_err(map_core_err)?;
-        let mut flags = 0u8;
-        if routed.detours > 0 {
-            flags |= FLAG_DETOURED;
-        }
-        if routed.fallback_used {
-            flags |= FLAG_FALLBACK;
-        }
-        Ok((flags, routed.hops))
     }
 
     fn handle_batch(&mut self, net_id: NetId, pairs: &[(Perm, Perm)], out: &mut Vec<u8>) {
@@ -303,87 +314,22 @@ impl ShardCore {
             );
             return;
         }
+        let mat = match degraded_mat(state, &self.cache) {
+            Ok(mat) => mat,
+            Err(code) => {
+                self.metrics.inc_error(code);
+                encode_error_into(out, code, "cannot materialize for degraded routing");
+                return;
+            }
+        };
         let at = begin_frame(out, FrameType::RouteBatchOk);
         out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-        if state.faults.is_empty() {
-            // Hot path: the packed SoA lanes of route_chunk, one pass over
-            // the whole frame, reusing the shard's hop buffers.
-            if state.batch_out.len() < pairs.len() {
-                state.batch_out.resize(pairs.len(), Vec::new());
-            }
-            for slot in &mut state.batch_out[..pairs.len()] {
-                slot.clear();
-            }
-            let mut bstate = state.plan.new_batch_state();
-            match state
-                .plan
-                .route_chunk(pairs, &mut state.batch_out[..pairs.len()], &mut bstate)
-            {
-                Ok(()) => {
-                    for hops in &state.batch_out[..pairs.len()] {
-                        self.metrics.routes.inc();
-                        self.metrics.hops.observe(hops.len() as u64);
-                        out.push(0); // status: ok
-                        out.push(0); // flags: clean path
-                        out.extend_from_slice(&(hops.len() as u16).to_le_bytes());
-                        for &g in hops {
-                            push_generator(out, g);
-                        }
-                    }
-                }
-                Err(e) => {
-                    // Uniform-degree frames make per-pair failure
-                    // impossible here; fail the frame with the typed code
-                    // instead of a half-written reply.
-                    out.truncate(at);
-                    let code = map_core_err(e);
-                    self.metrics.inc_error(code);
-                    encode_error_into(out, code, "batch routing failed");
-                    return;
-                }
-            }
-        } else {
-            // Degraded: pair-by-pair fault-aware routing with per-item
-            // statuses (refusals do not fail the frame).
-            let mat = match ensure_mat(state, &self.cache) {
-                Ok(mat) => mat,
-                Err(code) => {
-                    out.truncate(at);
-                    self.metrics.inc_error(code);
-                    encode_error_into(out, code, "cannot materialize for degraded routing");
-                    return;
-                }
-            };
-            for (from, to) in pairs {
-                match scg_route_faulty_with(&state.plan, &state.net, &mat, from, to, &state.faults)
-                {
-                    Ok(routed) => {
-                        self.metrics.routes.inc();
-                        self.metrics.hops.observe(routed.hops.len() as u64);
-                        let mut flags = 0u8;
-                        if routed.detours > 0 {
-                            flags |= FLAG_DETOURED;
-                            self.metrics.detoured.inc();
-                        }
-                        if routed.fallback_used {
-                            flags |= FLAG_FALLBACK;
-                            self.metrics.fallback.inc();
-                        }
-                        out.push(0);
-                        out.push(flags);
-                        out.extend_from_slice(&(routed.hops.len() as u16).to_le_bytes());
-                        for &g in &routed.hops {
-                            push_generator(out, g);
-                        }
-                    }
-                    Err(e) => {
-                        let code = map_core_err(e);
-                        if code == ErrCode::NoRoute {
-                            self.metrics.refused.inc();
-                        }
-                        out.push(code as u8);
-                    }
-                }
+        for (from, to) in pairs {
+            // Per-item status; a refusal does not fail the frame.
+            let status = out.len();
+            out.push(0);
+            if let Err(code) = state.route_pair(mat.as_ref(), from, to, &self.metrics, out) {
+                out[status] = code as u8;
             }
         }
         end_frame(out, at);
@@ -470,12 +416,13 @@ fn resolve_in<'a>(
                     ev.apply(&mut faults);
                 }
             }
+            let buf = plan.new_buf();
             Ok(e.insert(NetState {
                 net,
                 plan,
                 mat: None,
                 faults,
-                batch_out: Vec::new(),
+                buf,
             }))
         }
     }
@@ -494,6 +441,18 @@ fn ensure_mat(state: &mut NetState, cache: &TopologyCache) -> Result<Materialize
     Ok(state.mat.clone().expect("materialized just above"))
 }
 
+/// What [`NetState::route_pair`] routes over: `None` while the network is
+/// fault-free, else the materialized network (see [`ensure_mat`]).
+fn degraded_mat(
+    state: &mut NetState,
+    cache: &TopologyCache,
+) -> Result<Option<Materialized>, ErrCode> {
+    if state.faults.is_empty() {
+        return Ok(None);
+    }
+    ensure_mat(state, cache).map(Some)
+}
+
 fn map_core_err(e: CoreError) -> ErrCode {
     match e {
         CoreError::DegreeMismatch { .. } => ErrCode::DegreeMismatch,
@@ -501,21 +460,6 @@ fn map_core_err(e: CoreError) -> ErrCode {
         CoreError::TooLarge { .. } => ErrCode::TooLarge,
         _ => ErrCode::BadNetwork,
     }
-}
-
-/// The server-side streaming twin of the wire module's generator codec
-/// (encodes straight into the connection's reply buffer without building
-/// a [`crate::wire::Reply`]).
-fn push_generator(out: &mut Vec<u8>, g: Generator) {
-    let (tag, a, b) = match g {
-        Generator::Transposition { i } => (0, i, 0),
-        Generator::Exchange { i, j } => (1, i, j),
-        Generator::Insertion { i } => (2, i, 0),
-        Generator::Selection { i } => (3, i, 0),
-        Generator::Swap { n, i } => (4, n, i),
-        Generator::Rotation { n, i } => (5, n, i),
-    };
-    out.extend_from_slice(&[tag, a, b]);
 }
 
 #[cfg(feature = "obs")]
@@ -528,7 +472,7 @@ fn mirror_request(kind: &'static str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_request, peek_frame, FrameStatus, Reply, WIRE_VERSION};
+    use crate::wire::{encode_request, peek_frame, BatchItem, FrameStatus, Reply, WIRE_VERSION};
     use scg_core::{apply_path, CayleyNetwork, ScgClass};
 
     fn ms22() -> NetId {
@@ -715,6 +659,131 @@ mod tests {
             }
             other => panic!("expected RouteBatchOk, got {other:?}"),
         }
+    }
+
+    /// Under faults, a pair routed by a single `ROUTE` and the same pair
+    /// inside a `ROUTE_BATCH` get the same outcome — status, flags and
+    /// hops — and the metrics count both sides exactly: a batch item's
+    /// refusal bumps `refused` but not the error counter, a single
+    /// `ROUTE` refusal bumps both.
+    #[test]
+    fn single_routes_equal_batch_items_under_faults() {
+        let metrics = Arc::new(ServeMetrics::new());
+        let mut core = ShardCore::new(Arc::clone(&metrics), Arc::new(FaultJournal::new()));
+        let net = ms22().to_net().expect("MS(2,2) constructs");
+        let mat = scg_core::materialize(&net, scg_core::SMALL_NET_CAP).expect("120 nodes");
+        let plan = scg_core::route_plan(&net).expect("plan compiles");
+        let k = net.degree_k();
+        let mut rng = scg_perm::XorShift64::new(0xD1FF_5EED);
+        let pairs: Vec<(Perm, Perm)> = (0..48)
+            .map(|_| (Perm::random(k, &mut rng), Perm::random(k, &mut rng)))
+            .collect();
+        let id = |p: &Perm| mat.node_id(p).expect("label has an id");
+        // Pair 0's destination fails (one refusal); the first interior
+        // node of pair 1's clean route fails and the first link of pairs
+        // 2 and 3 fails, so their clean routes are blocked.
+        let first_step = |(from, to): &(Perm, Perm)| {
+            let hops = plan.route(from, to).expect("clean route");
+            (
+                id(from),
+                id(&apply_path(from, &hops[..1]).expect("hop applies")),
+            )
+        };
+        let (_, interior) = first_step(&pairs[1]);
+        let (a, b) = first_step(&pairs[2]);
+        let (c, d) = first_step(&pairs[3]);
+        let events = vec![
+            ChaosEvent::FailNode(id(&pairs[0].1)),
+            ChaosEvent::FailNode(interior),
+            ChaosEvent::FailLinkUndirected(a, b),
+            ChaosEvent::FailLinkUndirected(c, d),
+        ];
+        match exchange(
+            &mut core,
+            &Request::FaultReport {
+                net: ms22(),
+                events,
+            },
+        ) {
+            Reply::FaultOk { applied, .. } => assert_eq!(applied, 4),
+            other => panic!("expected FaultOk, got {other:?}"),
+        }
+
+        let singles: Vec<BatchItem> = pairs
+            .iter()
+            .map(|&(from, to)| {
+                match exchange(
+                    &mut core,
+                    &Request::Route {
+                        net: ms22(),
+                        from,
+                        to,
+                    },
+                ) {
+                    Reply::RouteOk { flags, hops } => BatchItem {
+                        status: 0,
+                        flags,
+                        hops,
+                    },
+                    Reply::Error { code, detail } => {
+                        assert_eq!(detail, "", "single refusal detail");
+                        BatchItem {
+                            status: code as u8,
+                            flags: 0,
+                            hops: Vec::new(),
+                        }
+                    }
+                    other => panic!("expected RouteOk or Error, got {other:?}"),
+                }
+            })
+            .collect();
+        let batch = match exchange(
+            &mut core,
+            &Request::RouteBatch {
+                net: ms22(),
+                pairs: pairs.clone(),
+            },
+        ) {
+            Reply::RouteBatchOk(items) => items,
+            other => panic!("expected RouteBatchOk, got {other:?}"),
+        };
+        assert_eq!(batch, singles, "single and batch outcomes diverge");
+
+        // Exactly the pairs with a failed endpoint refuse; every other
+        // pair arrives.
+        let dead = [id(&pairs[0].1), interior];
+        let expect_refused: Vec<usize> = (0..pairs.len())
+            .filter(|&i| dead.contains(&id(&pairs[i].0)) || dead.contains(&id(&pairs[i].1)))
+            .collect();
+        let refused: Vec<usize> = (0..batch.len()).filter(|&i| batch[i].status != 0).collect();
+        assert_eq!(refused, expect_refused);
+        assert_eq!(refused[0], 0);
+        for (item, (from, to)) in batch.iter().zip(&pairs) {
+            if item.status == 0 {
+                assert_eq!(apply_path(from, &item.hops).expect("hops apply"), *to);
+            } else {
+                assert_eq!(item.status, ErrCode::NoRoute as u8);
+            }
+        }
+        let flagged = |bit: u8| batch.iter().filter(|it| it.flags & bit != 0).count() as u64;
+        let (detoured, fallback) = (flagged(FLAG_DETOURED), flagged(FLAG_FALLBACK));
+        let no = refused.len() as u64;
+        // Seeded, so the mix is fixed: refusals, detours and fallbacks
+        // all occur.
+        assert_eq!((no, detoured, fallback), (3, 10, 2));
+        let ok = pairs.len() as u64 - no;
+        assert_eq!(metrics.routes.get(), 2 * ok);
+        assert_eq!(metrics.refused.get(), 2 * no);
+        assert_eq!(metrics.detoured.get(), 2 * detoured);
+        assert_eq!(metrics.fallback.get(), 2 * fallback);
+        let errors = |code: ErrCode| {
+            metrics
+                .registry()
+                .counter("scg_serve_errors_total", &[("code", code.as_str())])
+                .get()
+        };
+        assert_eq!(errors(ErrCode::NoRoute), no, "only single ROUTEs count");
+        assert_eq!(errors(ErrCode::DegreeMismatch), 0);
     }
 
     #[test]

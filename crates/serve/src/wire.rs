@@ -376,19 +376,25 @@ fn decode_perm(r: &mut Reader<'_>) -> Result<Perm, ErrCode> {
     Perm::from_symbols(symbols).map_err(|_| ErrCode::Malformed)
 }
 
-/// Encodes one hop as the 3-byte `tag · a · b` triple.
-fn encode_generator(out: &mut Vec<u8>, g: Generator) {
-    let (tag, a, b) = match g {
-        Generator::Transposition { i } => (0, i, 0),
-        Generator::Exchange { i, j } => (1, i, j),
-        Generator::Insertion { i } => (2, i, 0),
-        Generator::Selection { i } => (3, i, 0),
-        Generator::Swap { n, i } => (4, n, i),
-        Generator::Rotation { n, i } => (5, n, i),
-    };
-    out.push(tag);
-    out.push(a);
-    out.push(b);
+/// Appends one route item — `flags · hop_count: u16 · hops × 3`, each hop
+/// the `tag · a · b` triple. This is the whole `ROUTE_OK` payload and the
+/// tail of every successful `ROUTE_BATCH_OK` item; the server streams it
+/// straight into a connection's reply buffer.
+pub(crate) fn encode_route_item(out: &mut Vec<u8>, flags: u8, hops: &[Generator]) {
+    out.push(flags);
+    // Routes are bounded by dilation × star diameter, far below u16::MAX.
+    out.extend_from_slice(&(hops.len() as u16).to_le_bytes());
+    for &g in hops {
+        let (tag, a, b) = match g {
+            Generator::Transposition { i } => (0, i, 0),
+            Generator::Exchange { i, j } => (1, i, j),
+            Generator::Insertion { i } => (2, i, 0),
+            Generator::Selection { i } => (3, i, 0),
+            Generator::Swap { n, i } => (4, n, i),
+            Generator::Rotation { n, i } => (5, n, i),
+        };
+        out.extend_from_slice(&[tag, a, b]);
+    }
 }
 
 fn decode_generator(r: &mut Reader<'_>) -> Result<Generator, ErrCode> {
@@ -626,18 +632,15 @@ pub fn encode_error_into(out: &mut Vec<u8>, code: ErrCode, detail: &str) {
 }
 
 /// Encodes a reply as one complete frame (the client-side / test-side
-/// mirror of the server's streaming encoders).
+/// mirror of the server's streaming encoders, sharing their route-item
+/// encoder).
 #[must_use]
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
     let mut out = Vec::new();
     match reply {
         Reply::RouteOk { flags, hops } => {
             let at = begin_frame(&mut out, FrameType::RouteOk);
-            out.push(*flags);
-            out.extend_from_slice(&(hops.len() as u16).to_le_bytes());
-            for &g in hops {
-                encode_generator(&mut out, g);
-            }
+            encode_route_item(&mut out, *flags, hops);
             end_frame(&mut out, at);
         }
         Reply::RouteBatchOk(items) => {
@@ -646,11 +649,7 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             for item in items {
                 out.push(item.status);
                 if item.status == 0 {
-                    out.push(item.flags);
-                    out.extend_from_slice(&(item.hops.len() as u16).to_le_bytes());
-                    for &g in &item.hops {
-                        encode_generator(&mut out, g);
-                    }
+                    encode_route_item(&mut out, item.flags, &item.hops);
                 }
             }
             end_frame(&mut out, at);
@@ -780,6 +779,50 @@ mod tests {
         assert_eq!(out[..4], 5u32.to_le_bytes());
         assert_eq!(out[4], WIRE_VERSION);
         assert_eq!(out[5], FrameType::FaultOk as u8);
+    }
+
+    /// Literal reply bytes: `ROUTE_OK` and each successful
+    /// `ROUTE_BATCH_OK` item share one item encoder, so a change to it
+    /// must show here as a format change, not pass silently.
+    #[test]
+    fn route_reply_frames_match_golden_bytes() {
+        let route_ok = Reply::RouteOk {
+            flags: FLAG_DETOURED,
+            hops: vec![
+                Generator::Transposition { i: 3 },
+                Generator::Swap { n: 2, i: 1 },
+            ],
+        };
+        #[rustfmt::skip]
+        let expect: &[u8] = &[
+            11, 0, 0, 0, WIRE_VERSION, 0x81,
+            FLAG_DETOURED, 2, 0, // flags, hop count
+            0, 3, 0, // T_3
+            4, 2, 1, // S_{2,1}
+        ];
+        assert_eq!(encode_reply(&route_ok), expect);
+
+        let batch_ok = Reply::RouteBatchOk(vec![
+            BatchItem {
+                status: 0,
+                flags: 0,
+                hops: vec![Generator::Exchange { i: 1, j: 2 }],
+            },
+            BatchItem {
+                status: ErrCode::NoRoute as u8,
+                flags: 0,
+                hops: Vec::new(),
+            },
+        ]);
+        #[rustfmt::skip]
+        let expect: &[u8] = &[
+            14, 0, 0, 0, WIRE_VERSION, 0x82,
+            2, 0, 0, 0, // item count
+            0, 0, 1, 0, // ok, flags, hop count
+            1, 1, 2, // T_{1,2}
+            7, // NoRoute: status only
+        ];
+        assert_eq!(encode_reply(&batch_ok), expect);
     }
 
     #[test]

@@ -2,16 +2,27 @@
 //! once a network's plan is compiled and a [`RouteBuf`] is warmed, any
 //! number of `route_into` calls touch the heap exactly zero times.
 //!
-//! This file holds a single test because the counting `#[global_allocator]`
-//! is process-wide; the counter additionally only ticks on the armed test
-//! thread, so libtest's own helper threads cannot perturb it.
+//! The same holds one layer up: a warmed [`ShardCore`] answers `ROUTE`
+//! frames without allocating, and `ROUTE_BATCH` frames with exactly one
+//! allocation, the decoded pair vector.
+//!
+//! The counting `#[global_allocator]` is process-wide, so the counter only
+//! ticks on the armed test thread: libtest's own helper threads and the
+//! other test in this file cannot perturb a measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+#[cfg(not(feature = "obs"))]
+use supercayley::core::ScgClass;
 use supercayley::core::{route_plan, CayleyNetwork, SuperCayleyGraph};
 use supercayley::perm::{Perm, XorShift64};
+#[cfg(not(feature = "obs"))]
+use supercayley::serve::{
+    wire::{encode_request, peek_frame, FrameStatus},
+    FaultJournal, NetId, Request, ServeMetrics, ShardCore,
+};
 
 /// Passes through to [`System`], counting every allocation and
 /// reallocation made by the armed test thread (frees are not counted —
@@ -100,4 +111,74 @@ fn steady_state_route_into_performs_zero_heap_allocations() {
         );
         assert!(total_hops > 0, "sample routed no hops");
     }
+}
+
+/// Allocations the armed thread makes while running `f`.
+#[cfg(not(feature = "obs"))]
+fn count_allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    ALLOCATIONS.load(Ordering::SeqCst) - before
+}
+
+/// A warmed shard reuses its per-network route buffer and the caller's
+/// reply buffer: `ROUTE` frames allocate nothing, `ROUTE_BATCH` frames
+/// only the decoded pair vector. (The `obs` leg mirrors each request into
+/// the global registry, which allocates by design.)
+#[cfg(not(feature = "obs"))]
+#[test]
+fn warmed_shard_routes_frames_without_per_pair_allocation() {
+    let mut core = ShardCore::new(
+        std::sync::Arc::new(ServeMetrics::new()),
+        std::sync::Arc::new(FaultJournal::new()),
+    );
+    let mut rng = XorShift64::new(0x5AA4D);
+    let mut singles = Vec::new();
+    let mut batches = Vec::new();
+    for levels in [2, 4] {
+        let net = NetId {
+            class: ScgClass::MacroStar,
+            levels,
+            box_size: 2,
+        };
+        let k = net.to_net().unwrap().degree_k();
+        let mut pair = || (Perm::random(k, &mut rng), Perm::random(k, &mut rng));
+        for _ in 0..64 {
+            let (from, to) = pair();
+            singles.push(encode_request(&Request::Route { net, from, to }));
+        }
+        for _ in 0..4 {
+            let pairs = (0..512).map(|_| pair()).collect();
+            batches.push(encode_request(&Request::RouteBatch { net, pairs }));
+        }
+    }
+    let mut out = Vec::new();
+    let mut handle = |frames: &[Vec<u8>]| {
+        for frame in frames {
+            let FrameStatus::Frame {
+                ver,
+                ftype,
+                start,
+                end,
+            } = peek_frame(frame)
+            else {
+                panic!("request did not frame");
+            };
+            core.handle_frame(ver, ftype, &frame[start..end], &mut out);
+            assert_eq!(out[5], ftype | 0x80, "reply is not the route OK frame");
+            out.clear();
+        }
+    };
+    // Warm-up: resolves both networks and grows the reply buffer.
+    handle(&singles);
+    handle(&batches);
+
+    assert_eq!(count_allocations(|| handle(&singles)), 0, "ROUTE frames");
+    assert_eq!(
+        count_allocations(|| handle(&batches)),
+        batches.len() as u64,
+        "ROUTE_BATCH frames: one decoded pair vector each"
+    );
 }

@@ -84,10 +84,16 @@ fn route_batch_equals_sequential_routing() {
 /// and hence whatever the chunk size (64 threads → 1 pair per chunk, 10 →
 /// 7, 1 → all 64), since `route_batch` derives its chunking from the
 /// thread count. Sequential `route_into` on a held plan is the reference.
+/// MS(6,2) (k = 13) and IS(17) (k = 17, past the packed kernel's 16) carry
+/// the property to the widest degrees the planner routes.
 #[test]
 fn route_batch_output_is_independent_of_chunking_and_threads() {
     let mut rng = XorShift64::new(0xC4053);
-    for net in all_classes_small() {
+    let wide = [
+        SuperCayleyGraph::insertion_selection(17).unwrap(),
+        SuperCayleyGraph::macro_star(6, 2).unwrap(),
+    ];
+    for net in all_classes_small().into_iter().chain(wide) {
         let plan = route_plan(&net).unwrap();
         let k = net.degree_k();
         let pairs: Vec<(Perm, Perm)> = (0..64)
