@@ -185,9 +185,7 @@ fn main() {
         all_repair_recovered &= repair_mttr.is_some();
 
         // Multi-fault re-embedding acceptance.
-        let ir = hypercube_into_scg(&net, SMALL_NET_CAP)
-            .expect("Corollary 5 composition")
-            .into_ir();
+        let ir = hypercube_into_scg(&net, SMALL_NET_CAP).expect("Corollary 5 composition");
         let mapped: HashSet<NodeId> = ir.node_map().iter().copied().collect();
         let mut unmapped = (0..mat.num_nodes() as NodeId).filter(|u| !mapped.contains(u));
         let (u1, u2) = (

@@ -74,9 +74,8 @@ fn main() {
     let mut rows = Vec::new();
     for net in all_class_hosts_k5().expect("k=5 classes") {
         let start = Instant::now();
-        let e = hypercube_into_scg(&net, SMALL_NET_CAP).expect("Corollary 5 composition");
+        let ir = hypercube_into_scg(&net, SMALL_NET_CAP).expect("Corollary 5 composition");
         let build_micros = start.elapsed().as_micros() as u64;
-        let ir = e.into_ir();
         let audit = ir.audit();
         let mat = materialize(&net, SMALL_NET_CAP).expect("120 nodes under cap");
         let mapped: HashSet<NodeId> = ir.node_map().iter().copied().collect();

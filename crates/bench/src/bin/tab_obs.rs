@@ -158,7 +158,7 @@ fn main() {
     let table = t.render();
     print!("{table}");
 
-    // Embedding-engine sweep: every guest family builds through the
+    // Sweep of the embedding engine: every guest family builds through the
     // arena-backed IR with the embed hooks live, and each class gets one
     // fault-aware re-embedding (single failed host node not carrying a
     // guest node — the Corollary 5 cube guest is sparse, so one always
@@ -178,8 +178,7 @@ fn main() {
             .expect("Corollary 4 guest");
 
         for net in all_class_hosts_k5().expect("k=5 classes") {
-            let e = scg_embed::hypercube_into_scg(&net, cap).expect("Corollary 5 composition");
-            let ir = e.into_ir();
+            let ir = scg_embed::hypercube_into_scg(&net, cap).expect("Corollary 5 composition");
             let mat = materialize(&net, cap).expect("cached");
             let mapped: std::collections::HashSet<NodeId> = ir.node_map().iter().copied().collect();
             // Prefer a victim in the interior of some hyperpath so the

@@ -77,6 +77,5 @@ pub use routing::{
     MIN_PAIRS_PER_THREAD,
 };
 pub use topology::{
-    materialize, route_plan, Materialized, ShardedTopology, TopologyCache, DEFAULT_NET_CAP,
-    SMALL_NET_CAP,
+    materialize, route_plan, Materialized, TopologyCache, DEFAULT_NET_CAP, SMALL_NET_CAP,
 };

@@ -352,72 +352,6 @@ impl TopologyCache {
     }
 }
 
-/// A per-core family of independent [`TopologyCache`] shards.
-///
-/// Serving route requests from many connections on many cores through the
-/// single process-wide cache would put one mutex on every hot-path lookup.
-/// `ShardedTopology` gives each core (shard) its *own* cache instance;
-/// callers pin each connection to one shard and resolve plans and
-/// materializations through it, so steady-state lookups never touch a lock
-/// another core is waiting on. The price is one duplicate plan/graph build
-/// per shard that uses a given network — plans are `O(k²)` and the handles
-/// are `Arc`-shared within a shard, so duplication across shards is cheap
-/// and bounded by the shard count.
-///
-/// # Examples
-///
-/// ```
-/// use scg_core::{ShardedTopology, SuperCayleyGraph};
-///
-/// # fn main() -> Result<(), scg_core::CoreError> {
-/// let topo = ShardedTopology::new(4);
-/// let ms = SuperCayleyGraph::macro_star(3, 2)?;
-/// // Connection 11 is pinned to shard 11 % 4 = 3; repeated lookups hit
-/// // the same shard-local cache.
-/// let a = topo.shard(11).route_plan(&ms)?;
-/// let b = topo.shard(11).route_plan(&ms)?;
-/// assert!(std::sync::Arc::ptr_eq(&a, &b));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ShardedTopology {
-    shards: Vec<TopologyCache>,
-}
-
-impl ShardedTopology {
-    /// A family of `num_shards` empty caches (at least one).
-    #[must_use]
-    pub fn new(num_shards: usize) -> Self {
-        ShardedTopology {
-            shards: (0..num_shards.max(1))
-                .map(|_| TopologyCache::new())
-                .collect(),
-        }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The cache pinned to `key` — any stable per-connection or per-core
-    /// index; reduction modulo the shard count is done here so callers can
-    /// pass a raw connection counter.
-    #[must_use]
-    pub fn shard(&self, key: usize) -> &TopologyCache {
-        &self.shards[key % self.shards.len()]
-    }
-
-    /// Drops every shard's cached handles (outstanding `Arc`s stay alive).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.clear();
-        }
-    }
-}
-
 /// Materializes `net` through the process-wide [`TopologyCache`].
 ///
 /// # Errors
@@ -517,28 +451,6 @@ mod tests {
         cache.clear();
         assert_eq!(cache.num_plans(), 0);
         assert_eq!(a.degree_k(), 7); // handles outlive the clear
-    }
-
-    #[test]
-    fn sharded_topology_pins_and_isolates() {
-        let topo = ShardedTopology::new(3);
-        assert_eq!(topo.num_shards(), 3);
-        let ms = SuperCayleyGraph::macro_star(2, 2).unwrap();
-        // Same shard → shared Arc; different shard → independent build.
-        let a = topo.shard(1).route_plan(&ms).unwrap();
-        let b = topo.shard(4).route_plan(&ms).unwrap(); // 4 % 3 == 1
-        let c = topo.shard(2).route_plan(&ms).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(topo.shard(0).num_plans(), 0);
-        let m1 = topo.shard(1).materialize(&ms, SMALL_NET_CAP).unwrap();
-        let m2 = topo.shard(1).materialize(&ms, SMALL_NET_CAP).unwrap();
-        assert!(Arc::ptr_eq(m1.graph(), m2.graph()));
-        topo.clear();
-        assert_eq!(topo.shard(1).num_plans(), 0);
-        assert!(topo.shard(1).is_empty());
-        // Zero shards clamps to one.
-        assert_eq!(ShardedTopology::new(0).num_shards(), 1);
     }
 
     #[test]

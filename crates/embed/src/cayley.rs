@@ -11,7 +11,6 @@
 use scg_core::{materialize, route_plan, CayleyNetwork, Generator, SuperCayleyGraph};
 use scg_graph::NodeId;
 
-use crate::embedding::Embedding;
 use crate::error::EmbedError;
 use crate::ir::{EmbeddingIr, IrBuilder};
 
@@ -20,7 +19,7 @@ use crate::ir::{EmbeddingIr, IrBuilder};
 /// paper's per-dimension congestion claims.
 #[derive(Debug, Clone)]
 pub struct CayleyEmbedding {
-    embedding: Embedding,
+    embedding: EmbeddingIr,
     edge_generator: Vec<usize>,
     guest_generators: Vec<Generator>,
 }
@@ -117,7 +116,7 @@ impl CayleyEmbedding {
                 edge_generator.push(gi);
             }
         }
-        let embedding = Embedding::from(builder.node_map(node_map).finish()?);
+        let embedding = builder.node_map(node_map).finish()?;
         #[cfg(feature = "obs")]
         crate::obs_hooks::build_done(&guest.name(), embedding.dilation());
         Ok(CayleyEmbedding {
@@ -129,19 +128,13 @@ impl CayleyEmbedding {
 
     /// The validated embedding.
     #[must_use]
-    pub fn embedding(&self) -> &Embedding {
+    pub fn embedding(&self) -> &EmbeddingIr {
         &self.embedding
     }
 
-    /// The underlying arena-backed IR.
+    /// Consumes `self`, returning the inner [`EmbeddingIr`].
     #[must_use]
-    pub fn ir(&self) -> &EmbeddingIr {
-        self.embedding.ir()
-    }
-
-    /// Consumes `self`, returning the inner [`Embedding`].
-    #[must_use]
-    pub fn into_embedding(self) -> Embedding {
+    pub fn into_embedding(self) -> EmbeddingIr {
         self.embedding
     }
 

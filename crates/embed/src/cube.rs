@@ -13,9 +13,8 @@ use scg_graph::NodeId;
 use scg_perm::Perm;
 
 use crate::cayley::CayleyEmbedding;
-use crate::embedding::Embedding;
 use crate::error::EmbedError;
-use crate::ir::IrBuilder;
+use crate::ir::{EmbeddingIr, IrBuilder};
 
 /// The hypercube dimension realized by the disjoint-transposition
 /// construction in the `k`-TN: `⌊(k−1)/2⌋`.
@@ -34,7 +33,7 @@ pub fn cube_dimension_for(k: usize) -> u32 {
 ///
 /// * [`EmbedError::Core`] — invalid `k` or TN too large to materialize
 ///   within `cap` nodes.
-pub fn hypercube_into_tn(k: usize, cap: u64) -> Result<Embedding, EmbedError> {
+pub fn hypercube_into_tn(k: usize, cap: u64) -> Result<EmbeddingIr, EmbedError> {
     #[cfg(feature = "obs")]
     // scg-allow(SCG005): RAII scope timer; the binding keeps the guard alive
     let _timer = crate::obs_hooks::build_timer("hypercube");
@@ -58,7 +57,7 @@ pub fn hypercube_into_tn(k: usize, cap: u64) -> Result<Embedding, EmbedError> {
     for (u, v) in guest.edges() {
         builder.push_path(&[node_map[u as usize], node_map[v as usize]]);
     }
-    let e = Embedding::from(builder.node_map(node_map).finish()?);
+    let e = builder.node_map(node_map).finish()?;
     #[cfg(feature = "obs")]
     crate::obs_hooks::build_done("hypercube", e.dilation());
     Ok(e)
@@ -71,7 +70,7 @@ pub fn hypercube_into_tn(k: usize, cap: u64) -> Result<Embedding, EmbedError> {
 /// # Errors
 ///
 /// As [`hypercube_into_tn`] plus [`CayleyEmbedding::build`] failures.
-pub fn hypercube_into_scg(host: &SuperCayleyGraph, cap: u64) -> Result<Embedding, EmbedError> {
+pub fn hypercube_into_scg(host: &SuperCayleyGraph, cap: u64) -> Result<EmbeddingIr, EmbedError> {
     let k = host.degree_k();
     let cube_in_tn = hypercube_into_tn(k, cap)?;
     let tn = TranspositionNetwork::new(k)?;
@@ -87,7 +86,7 @@ pub fn hypercube_into_scg(host: &SuperCayleyGraph, cap: u64) -> Result<Embedding
 /// # Errors
 ///
 /// * [`EmbedError::Core`] — invalid `k` or star too large within `cap`.
-pub fn hypercube_into_star(k: usize, cap: u64) -> Result<Embedding, EmbedError> {
+pub fn hypercube_into_star(k: usize, cap: u64) -> Result<EmbeddingIr, EmbedError> {
     #[cfg(feature = "obs")]
     // scg-allow(SCG005): RAII scope timer; the binding keeps the guard alive
     let _timer = crate::obs_hooks::build_timer("hypercube");
@@ -126,7 +125,7 @@ pub fn hypercube_into_star(k: usize, cap: u64) -> Result<Embedding, EmbedError> 
         }
         builder.end_path();
     }
-    let e = Embedding::from(builder.node_map(node_map).finish()?);
+    let e = builder.node_map(node_map).finish()?;
     #[cfg(feature = "obs")]
     crate::obs_hooks::build_done("hypercube", e.dilation());
     Ok(e)

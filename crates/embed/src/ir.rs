@@ -13,9 +13,8 @@
 //! Construction always validates (arena offsets well-formed, hyperpath
 //! endpoints match the node map, consecutive hops target-adjacent), so an
 //! `EmbeddingIr` is a *certificate*: the [`EmbedAudit`] metrics it reports
-//! are facts about a checked object. The legacy
-//! [`Embedding`](crate::Embedding) type is a thin compatibility view over
-//! this IR.
+//! are facts about a checked object. It is the crate's only embedding
+//! type: every constructor returns one.
 //!
 //! Fault awareness comes for free from the flat layout:
 //! [`EmbeddingIr::reembed`] copies hyperpaths that survive a fault set
@@ -41,7 +40,7 @@ use crate::error::EmbedError;
 pub struct PNode(u32);
 
 /// A program-side (guest) edge handle: an index in the guest's CSR edge
-/// order — the same order the legacy `edge_path(e)` API uses.
+/// order — the same order [`EmbeddingIr::hyperpath_at`] takes raw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PEdge(u32);
 
@@ -89,10 +88,10 @@ handle_impl!(TEdge);
 /// # Examples
 ///
 /// ```
-/// use scg_embed::{hypercube_into_tn, Embedding};
+/// use scg_embed::hypercube_into_tn;
 ///
 /// # fn main() -> Result<(), scg_embed::EmbedError> {
-/// let ir = hypercube_into_tn(5, 1_000)?.into_ir();
+/// let ir = hypercube_into_tn(5, 1_000)?;
 /// let audit = ir.audit();
 /// assert_eq!(audit.dilation, 1);
 /// assert_eq!(audit.load, 1);
@@ -274,8 +273,8 @@ impl EmbeddingIr {
         self.hyperpath_at(e.index())
     }
 
-    /// [`EmbeddingIr::hyperpath`] by raw edge index (the legacy
-    /// `edge_path(e)` addressing).
+    /// [`EmbeddingIr::hyperpath`] by raw edge index (guest CSR edge
+    /// order).
     ///
     /// # Panics
     ///
@@ -339,31 +338,27 @@ impl EmbeddingIr {
     /// (guest CSR edge order) — the paper's per-dimension congestion.
     #[must_use]
     pub fn congestion_filtered(&self, filter: impl Fn(usize) -> bool) -> usize {
-        let mut count = vec![0usize; self.host.num_edges()];
-        for e in 0..self.num_program_edges() {
-            if !filter(e) {
-                continue;
-            }
-            for w in self.hyperpath_at(e).windows(2) {
-                let link = self
-                    .host
-                    .edge_index(w[0], w[1])
-                    .expect("validated at construction"); // scg-allow(SCG001): from_parts rejects hyperpaths that are not host walks
-                count[link] += 1;
-            }
-        }
-        count.into_iter().max().unwrap_or(0)
+        self.traffic_filtered(filter).into_iter().max().unwrap_or(0)
     }
 
     /// Per-target-link traffic counts, indexed by host CSR edge order
     /// (i.e. by [`TEdge::index`]).
     #[must_use]
     pub fn link_traffic(&self) -> Vec<usize> {
+        self.traffic_filtered(|_| true)
+    }
+
+    /// Per-target-link counts of the hyperpaths of the program edges
+    /// accepted by `filter`.
+    fn traffic_filtered(&self, filter: impl Fn(usize) -> bool) -> Vec<usize> {
         let mut count = vec![0usize; self.host.num_edges()];
-        for e in 0..self.num_program_edges() {
+        for e in (0..self.num_program_edges()).filter(|&e| filter(e)) {
             for w in self.hyperpath_at(e).windows(2) {
-                // scg-allow(SCG001): from_parts rejects hyperpaths that are not host walks
-                count[self.host.edge_index(w[0], w[1]).expect("validated")] += 1;
+                let link = self
+                    .host
+                    .edge_index(w[0], w[1])
+                    .expect("validated at construction"); // scg-allow(SCG001): from_parts rejects hyperpaths that are not host walks
+                count[link] += 1;
             }
         }
         count
@@ -501,7 +496,7 @@ impl EmbeddingIr {
     pub fn reembed_with(
         &self,
         view: &SurvivorView<'_>,
-        mut reroute: impl FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
+        reroute: impl FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
     ) -> Result<EmbeddingIr, EmbedError> {
         if *view.graph() != *self.host {
             return Err(EmbedError::Unsupported {
@@ -519,29 +514,7 @@ impl EmbeddingIr {
         #[cfg(feature = "obs")]
         // scg-allow(SCG005): RAII scope timer; the binding keeps the guard alive
         let _timer = crate::obs_hooks::reembed_timer();
-        let mut arena: Vec<NodeId> = Vec::with_capacity(self.path_arena.len());
-        let mut offsets: Vec<u32> = Vec::with_capacity(self.path_offsets.len());
-        offsets.push(0);
-        let mut rerouted = 0usize;
-        for e in 0..self.num_program_edges() {
-            let seg = self.hyperpath_at(e);
-            if view.path_is_live(seg) {
-                arena.extend_from_slice(seg);
-            } else {
-                let (src, dst) = (seg[0], seg[seg.len() - 1]);
-                let fresh =
-                    reroute(src, dst).ok_or(EmbedError::ReembedDisconnected { guest_edge: e })?;
-                if !view.path_is_live(&fresh)
-                    || fresh.first() != Some(&src)
-                    || fresh.last() != Some(&dst)
-                {
-                    return Err(EmbedError::InvalidPath { guest_edge: e });
-                }
-                rerouted += 1;
-                arena.extend_from_slice(&fresh);
-            }
-            offsets.push(len_u32(arena.len()));
-        }
+        let (arena, offsets, rerouted) = self.reroute_hyperpaths(view, &self.node_map, reroute)?;
         #[cfg(feature = "obs")]
         crate::obs_hooks::reembed_done(rerouted as u64);
         #[cfg(not(feature = "obs"))]
@@ -579,7 +552,7 @@ impl EmbeddingIr {
     pub fn reembed_rebalanced(
         &self,
         view: &SurvivorView<'_>,
-        mut reroute: impl FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
+        reroute: impl FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
     ) -> Result<ReembedReport, EmbedError> {
         if *view.graph() != *self.host {
             return Err(EmbedError::Unsupported {
@@ -612,8 +585,36 @@ impl EmbeddingIr {
             *host_slot = new_host;
             remapped += 1;
         }
-        // Re-route every hyperpath that moved or crosses a fault; copy the
-        // rest verbatim.
+        let (arena, offsets, rerouted) = self.reroute_hyperpaths(view, &node_map, reroute)?;
+        #[cfg(feature = "obs")]
+        crate::obs_hooks::rebalance_done(remapped as u64, rerouted as u64);
+        let ir = EmbeddingIr::from_parts(
+            self.guest.clone(),
+            self.host.clone(),
+            node_map,
+            arena,
+            offsets,
+        )?;
+        Ok(ReembedReport {
+            ir,
+            remapped,
+            rerouted,
+        })
+    }
+
+    /// The shared re-embedding loop: for each program edge under
+    /// `node_map` (this embedding's own map, or a remapped one), copies the
+    /// hyperpath verbatim if its endpoints still match and it is live,
+    /// emits a single node if both endpoints landed on one host, and
+    /// otherwise asks `reroute` for a fresh path and checks its endpoints
+    /// and liveness. Returns the new arena, its offsets and how many
+    /// hyperpaths were not copied.
+    fn reroute_hyperpaths(
+        &self,
+        view: &SurvivorView<'_>,
+        node_map: &[NodeId],
+        mut reroute: impl FnMut(NodeId, NodeId) -> Option<Vec<NodeId>>,
+    ) -> Result<(Vec<NodeId>, Vec<u32>, usize), EmbedError> {
         let mut arena: Vec<NodeId> = Vec::with_capacity(self.path_arena.len());
         let mut offsets: Vec<u32> = Vec::with_capacity(self.path_offsets.len());
         offsets.push(0);
@@ -642,20 +643,7 @@ impl EmbeddingIr {
             }
             offsets.push(len_u32(arena.len()));
         }
-        #[cfg(feature = "obs")]
-        crate::obs_hooks::rebalance_done(remapped as u64, rerouted as u64);
-        let ir = EmbeddingIr::from_parts(
-            self.guest.clone(),
-            self.host.clone(),
-            node_map,
-            arena,
-            offsets,
-        )?;
-        Ok(ReembedReport {
-            ir,
-            remapped,
-            rerouted,
-        })
+        Ok((arena, offsets, rerouted))
     }
 }
 
@@ -689,14 +677,8 @@ pub fn reembed_scg(
     mat: &Materialized,
     faults: &FaultSet,
 ) -> Result<EmbeddingIr, EmbedError> {
-    if **mat.graph() != *ir.host() {
-        return Err(EmbedError::Unsupported {
-            reason: "materialized network does not match the embedding host".into(),
-        });
-    }
-    let view = SurvivorView::new(mat.graph(), faults);
-    ir.reembed_with(&view, |src, dst| {
-        scg_route_faulty_ids(net, mat, src, dst, faults).ok()
+    with_scg_router(ir, net, mat, faults, |view, router| {
+        ir.reembed_with(view, router)
     })
 }
 
@@ -717,13 +699,30 @@ pub fn reembed_scg_rebalanced(
     mat: &Materialized,
     faults: &FaultSet,
 ) -> Result<ReembedReport, EmbedError> {
+    with_scg_router(ir, net, mat, faults, |view, router| {
+        ir.reembed_rebalanced(view, router)
+    })
+}
+
+/// Checks that `mat` materializes `ir`'s host, then runs `reembed` with
+/// the survivor view of `faults` and the plan-cache fault-tolerant router.
+fn with_scg_router<T>(
+    ir: &EmbeddingIr,
+    net: &SuperCayleyGraph,
+    mat: &Materialized,
+    faults: &FaultSet,
+    reembed: impl FnOnce(
+        &SurvivorView<'_>,
+        &dyn Fn(NodeId, NodeId) -> Option<Vec<NodeId>>,
+    ) -> Result<T, EmbedError>,
+) -> Result<T, EmbedError> {
     if **mat.graph() != *ir.host() {
         return Err(EmbedError::Unsupported {
             reason: "materialized network does not match the embedding host".into(),
         });
     }
     let view = SurvivorView::new(mat.graph(), faults);
-    ir.reembed_rebalanced(&view, |src, dst| {
+    reembed(&view, &|src, dst| {
         scg_route_faulty_ids(net, mat, src, dst, faults).ok()
     })
 }
@@ -837,14 +836,25 @@ mod tests {
 
     #[test]
     fn audit_matches_individual_metrics() {
-        let ir = ring_identity_ir();
-        let a = ir.audit();
-        assert_eq!(a.load, ir.load());
-        assert_eq!(a.dilation, ir.dilation());
-        assert_eq!(a.congestion, ir.congestion());
-        assert!((a.expansion - ir.expansion()).abs() < 1e-12);
-        assert!((a.mean_path_length - ir.mean_path_length()).abs() < 1e-12);
-        assert_eq!(a.total_hops, 10);
+        // Two guest edges forced through the same host link.
+        let guest = DenseGraph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
+        let mut b = IrBuilder::new(guest, linear_array(3)).node_map(vec![0, 0, 2]);
+        b.push_path(&[0, 1, 2]);
+        b.push_path(&[0, 1, 2]);
+        let shared = b.finish().unwrap();
+        for (ir, total_hops) in [(ring_identity_ir(), 10), (shared.clone(), 4)] {
+            let a = ir.audit();
+            assert_eq!(a.load, ir.load());
+            assert_eq!(a.dilation, ir.dilation());
+            assert_eq!(a.congestion, ir.congestion());
+            assert!((a.expansion - ir.expansion()).abs() < 1e-12);
+            assert!((a.mean_path_length - ir.mean_path_length()).abs() < 1e-12);
+            assert_eq!(a.total_hops, total_hops);
+        }
+        assert_eq!(shared.load(), 2);
+        assert_eq!(shared.congestion(), 2);
+        assert_eq!(shared.congestion_filtered(|edge| edge == 0), 1);
+        assert_eq!(shared.link_traffic().iter().copied().max().unwrap(), 2);
     }
 
     #[test]
@@ -873,11 +883,62 @@ mod tests {
         );
         assert!(matches!(bad3, Err(EmbedError::InvalidMap { .. })));
         // Well-formed offsets, wrong endpoint.
-        let bad4 =
-            EmbeddingIr::from_parts(g.clone(), g, vec![0, 1], vec![0, 1, 0, 1], vec![0, 2, 4]);
+        let bad4 = EmbeddingIr::from_parts(
+            g.clone(),
+            g.clone(),
+            vec![0, 1],
+            vec![0, 1, 0, 1],
+            vec![0, 2, 4],
+        );
         assert!(matches!(
             bad4,
             Err(EmbedError::InvalidPath { guest_edge: 1 })
+        ));
+        // Right endpoints, but the hop 0 → 2 is not a host link.
+        let h = linear_array(3);
+        let bad5 = EmbeddingIr::from_parts(
+            g.clone(),
+            h.clone(),
+            vec![0, 2],
+            vec![0, 2, 2, 0],
+            vec![0, 2, 4],
+        );
+        assert!(matches!(
+            bad5,
+            Err(EmbedError::InvalidPath { guest_edge: 0 })
+        ));
+        // Node map shorter than the guest.
+        let bad6 = EmbeddingIr::from_parts(g, h, vec![0], vec![0, 1, 1, 0], vec![0, 2, 4]);
+        assert!(matches!(bad6, Err(EmbedError::InvalidMap { .. })));
+    }
+
+    /// Routes every guest edge along a host shortest path under `map`.
+    fn shortest_path_ir(guest: DenseGraph, host: DenseGraph, map: Vec<NodeId>) -> EmbeddingIr {
+        let mut b = IrBuilder::new(guest.clone(), host.clone()).node_map(map.clone());
+        for (u, v) in guest.edges() {
+            b.push_path(
+                &host
+                    .shortest_path(map[u as usize], map[v as usize])
+                    .unwrap(),
+            );
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn compose_bounds_dilation_and_checks_the_middle_graph() {
+        // 2-path into the 4-ring (dilation 2), 4-ring into the 8-ring
+        // (dilation 2): the composition has dilation at most 4.
+        let outer = shortest_path_ir(linear_array(2), ring(4), vec![0, 2]);
+        let inner = shortest_path_ir(ring(4), ring(8), vec![0, 2, 4, 6]);
+        let composed = outer.compose(&inner).unwrap();
+        assert!(composed.dilation() <= outer.dilation() * inner.dilation());
+        assert_eq!(composed.node_map(), &[0, 4]);
+        // An inner embedding of a different middle graph is refused.
+        let other = shortest_path_ir(ring(5), ring(10), vec![0, 2, 4, 6, 8]);
+        assert!(matches!(
+            outer.compose(&other),
+            Err(EmbedError::Unsupported { .. })
         ));
     }
 

@@ -1,7 +1,8 @@
 //! Constant-dilation embeddings in super Cayley graphs (§5 of the paper).
 //!
-//! The central type is [`Embedding`]: a validated node map plus per-edge
-//! routing paths, from which the standard quality metrics (load, expansion,
+//! The central type is [`EmbeddingIr`]: a validated node map plus one
+//! routing path (hyperpath) per guest edge, stored as ranges into a flat
+//! path arena, from which the standard quality metrics (load, expansion,
 //! dilation, congestion) are *measured*, not asserted. Constructions:
 //!
 //! * **Theorems 1–3** — star graphs into `MS`, `RS`, `Complete-RS`, `IS`,
@@ -17,13 +18,11 @@
 //!   ([`factorial_mesh_into_tn`], [`mesh2d_into_tn`],
 //!   [`linear_array_into_star`] and their `_into_scg` compositions).
 //!
-//! Embeddings compose ([`Embedding::compose`]), which is exactly how the
+//! Embeddings compose ([`EmbeddingIr::compose`]), which is exactly how the
 //! paper derives its corollaries from the theorems.
 //!
-//! All constructors emit one shared arena-backed representation, the
-//! [`EmbeddingIr`] (typed handles, hyperpaths as ranges into a flat path
-//! arena, a generic [`EmbedAudit`] auditor); `Embedding` is its thin
-//! compatibility view. Fault-aware re-embedding lives on the IR:
+//! Every constructor returns an [`EmbeddingIr`] (typed handles, a generic
+//! [`EmbedAudit`] auditor). Fault-aware re-embedding lives on the IR too:
 //! [`EmbeddingIr::reembed`] re-routes only the hyperpaths a
 //! [`FaultSet`](scg_graph::FaultSet) crosses, and [`reembed_scg`] plugs in
 //! the plan-cache detour router for super Cayley hosts.
@@ -48,7 +47,6 @@
 
 mod cayley;
 mod cube;
-mod embedding;
 mod error;
 mod ir;
 mod mesh_embed;
@@ -58,7 +56,6 @@ mod tree;
 
 pub use cayley::CayleyEmbedding;
 pub use cube::{cube_dimension_for, hypercube_into_scg, hypercube_into_star, hypercube_into_tn};
-pub use embedding::Embedding;
 pub use error::EmbedError;
 pub use ir::{
     reembed_scg, reembed_scg_rebalanced, EmbedAudit, EmbeddingIr, IrBuilder, PEdge, PNode,

@@ -27,9 +27,8 @@ use scg_graph::{hamiltonian_path, NodeId, SearchBudget};
 use scg_perm::{factorial, MixedRadix, Perm};
 
 use crate::cayley::CayleyEmbedding;
-use crate::embedding::Embedding;
 use crate::error::EmbedError;
-use crate::ir::IrBuilder;
+use crate::ir::{EmbeddingIr, IrBuilder};
 
 /// Factors a permutation into exchange generators `T_{i,j}` whose product
 /// (applied left to right) equals `w`. A cycle of length `m` contributes
@@ -84,7 +83,7 @@ pub fn linear_array_into_star(
     k: usize,
     cap: u64,
     budget: &mut SearchBudget,
-) -> Result<Embedding, EmbedError> {
+) -> Result<EmbeddingIr, EmbedError> {
     let star = StarGraph::new(k)?;
     let num_nodes = factorial(k);
     if num_nodes > cap {
@@ -115,7 +114,7 @@ pub fn linear_array_into_star(
     for (u, v) in guest.edges() {
         builder.push_path(&[node_map[u as usize], node_map[v as usize]]);
     }
-    let e = Embedding::from(builder.node_map(node_map).finish()?);
+    let e = builder.node_map(node_map).finish()?;
     #[cfg(feature = "obs")]
     crate::obs_hooks::build_done("linear-array", e.dilation());
     Ok(e)
@@ -130,7 +129,7 @@ fn mesh_embedding_from_digit_map(
     k: usize,
     cap: u64,
     digits_of: impl Fn(u64) -> Vec<u64>,
-) -> Result<Embedding, EmbedError> {
+) -> Result<EmbeddingIr, EmbedError> {
     #[cfg(feature = "obs")]
     // scg-allow(SCG005): RAII scope timer; the binding keeps the guard alive
     let _timer = crate::obs_hooks::build_timer(guest_class);
@@ -155,7 +154,7 @@ fn mesh_embedding_from_digit_map(
         debug_assert_eq!(cur, lv);
         builder.end_path();
     }
-    let e = Embedding::from(builder.node_map(node_map).finish()?);
+    let e = builder.node_map(node_map).finish()?;
     #[cfg(feature = "obs")]
     crate::obs_hooks::build_done(guest_class, e.dilation());
     Ok(e)
@@ -167,7 +166,7 @@ fn mesh_embedding_from_digit_map(
 /// # Errors
 ///
 /// * [`EmbedError::Core`] — invalid `k` or TN too large within `cap`.
-pub fn factorial_mesh_into_tn(k: usize, cap: u64) -> Result<Embedding, EmbedError> {
+pub fn factorial_mesh_into_tn(k: usize, cap: u64) -> Result<EmbeddingIr, EmbedError> {
     if k < 2 {
         return Err(EmbedError::Unsupported {
             reason: "factorial mesh needs k >= 2".into(),
@@ -190,7 +189,7 @@ pub fn factorial_mesh_into_tn(k: usize, cap: u64) -> Result<Embedding, EmbedErro
 /// * [`EmbedError::Unsupported`] — `row_dims` is not a sub-multiset of
 ///   `{2, …, k}`;
 /// * [`EmbedError::Core`] — TN too large within `cap`.
-pub fn mesh2d_into_tn(k: usize, row_dims: &[usize], cap: u64) -> Result<Embedding, EmbedError> {
+pub fn mesh2d_into_tn(k: usize, row_dims: &[usize], cap: u64) -> Result<EmbeddingIr, EmbedError> {
     let mut is_row = vec![false; k + 1];
     for &d in row_dims {
         if !(2..=k).contains(&d) || is_row[d] {
@@ -232,7 +231,10 @@ pub fn mesh2d_into_tn(k: usize, row_dims: &[usize], cap: u64) -> Result<Embeddin
 /// # Errors
 ///
 /// As [`factorial_mesh_into_tn`] plus [`CayleyEmbedding::build`] failures.
-pub fn factorial_mesh_into_scg(host: &SuperCayleyGraph, cap: u64) -> Result<Embedding, EmbedError> {
+pub fn factorial_mesh_into_scg(
+    host: &SuperCayleyGraph,
+    cap: u64,
+) -> Result<EmbeddingIr, EmbedError> {
     let k = host.degree_k();
     let mesh_in_tn = factorial_mesh_into_tn(k, cap)?;
     let tn = TranspositionNetwork::new(k)?;
@@ -250,7 +252,7 @@ pub fn mesh2d_into_scg(
     host: &SuperCayleyGraph,
     row_dims: &[usize],
     cap: u64,
-) -> Result<Embedding, EmbedError> {
+) -> Result<EmbeddingIr, EmbedError> {
     let k = host.degree_k();
     let mesh_in_tn = mesh2d_into_tn(k, row_dims, cap)?;
     let tn = TranspositionNetwork::new(k)?;

@@ -13,9 +13,8 @@ use scg_graph::{complete_binary_tree, embed_tree_randomized, SearchBudget};
 use scg_perm::factorial;
 
 use crate::cayley::CayleyEmbedding;
-use crate::embedding::Embedding;
 use crate::error::EmbedError;
-use crate::ir::IrBuilder;
+use crate::ir::{EmbeddingIr, IrBuilder};
 
 /// Searches for a dilation-1 embedding of the complete binary tree of the
 /// given height into the `k`-star, rooted at the identity node.
@@ -32,7 +31,7 @@ pub fn tree_into_star(
     height: u32,
     k: usize,
     budget: &mut SearchBudget,
-) -> Result<Embedding, EmbedError> {
+) -> Result<EmbeddingIr, EmbedError> {
     let star = StarGraph::new(k)?;
     let num_nodes = factorial(k);
     if num_nodes > DEFAULT_NET_CAP {
@@ -74,7 +73,7 @@ pub fn tree_into_star(
     for (u, v) in guest.edges() {
         builder.push_path(&[map[u as usize], map[v as usize]]);
     }
-    let e = Embedding::from(builder.node_map(map).finish()?);
+    let e = builder.node_map(map).finish()?;
     #[cfg(feature = "obs")]
     crate::obs_hooks::build_done("tree", e.dilation());
     Ok(e)
@@ -92,7 +91,7 @@ pub fn tree_into_scg(
     height: u32,
     host: &SuperCayleyGraph,
     budget: &mut SearchBudget,
-) -> Result<Embedding, EmbedError> {
+) -> Result<EmbeddingIr, EmbedError> {
     let k = host.degree_k();
     let into_star = tree_into_star(height, k, budget)?;
     let star = StarGraph::new(k)?;

@@ -6,11 +6,11 @@
 
 use supercayley::core::{CayleyNetwork, StarGraph, SuperCayleyGraph, TranspositionNetwork};
 use supercayley::embed::{
-    factorial_mesh_into_scg, hypercube_into_scg, tree_into_scg, CayleyEmbedding, Embedding,
+    factorial_mesh_into_scg, hypercube_into_scg, tree_into_scg, CayleyEmbedding, EmbeddingIr,
 };
 use supercayley::graph::SearchBudget;
 
-fn show(guest: &str, host: &str, e: &Embedding) {
+fn show(guest: &str, host: &str, e: &EmbeddingIr) {
     println!(
         "{guest:<22} -> {host:<18} dilation {:<2} congestion {:<3} load {} expansion {:.1}",
         e.dilation(),

@@ -47,12 +47,11 @@ fn compose_allocates_a_small_constant_not_per_edge() {
     // may allocate freely is built first.
     let net = SuperCayleyGraph::macro_star(2, 2).unwrap();
     let k = net.degree_k();
-    let mesh = factorial_mesh_into_tn(k, SMALL_NET_CAP).unwrap().into_ir();
+    let mesh = factorial_mesh_into_tn(k, SMALL_NET_CAP).unwrap();
     let tn = TranspositionNetwork::new(k).unwrap();
     let outer = CayleyEmbedding::build(&tn, &net, SMALL_NET_CAP)
         .unwrap()
-        .into_embedding()
-        .into_ir();
+        .into_embedding();
     let edges = mesh.num_program_edges();
     assert!(edges > 100, "the mesh guest must be non-trivial");
 

@@ -127,7 +127,7 @@ fn lone_packet_takes_shortest_path() {
     }
 }
 
-/// Embedding-by-label round trip: the path of every guest edge in the
+/// Round trip by label: the hyperpath of every guest edge in the
 /// star→MS embedding is exactly the Theorem-1 expansion applied to the
 /// source label.
 #[test]
@@ -141,7 +141,7 @@ fn embedding_paths_match_expansions() {
     for _ in 0..32 {
         let e_idx = rng.gen_range(edges.len());
         let (u, v) = edges[e_idx];
-        let path = emb.edge_path(e_idx);
+        let path = emb.hyperpath_at(e_idx);
         assert_eq!(path[0], emb.node_map()[u as usize]);
         assert_eq!(*path.last().unwrap(), emb.node_map()[v as usize]);
         assert!(path.len() <= 4); // dilation 3

@@ -174,9 +174,7 @@ fn reembed_under_degree_minus_1_faults_preserves_bounds() {
     // observed 26 across 20 seeds x 10 classes; 32 is the regression
     // bound, not a theorem).
     for net in ten_classes() {
-        let ir = supercayley::embed::hypercube_into_scg(&net, SMALL_NET_CAP)
-            .unwrap()
-            .into_ir();
+        let ir = supercayley::embed::hypercube_into_scg(&net, SMALL_NET_CAP).unwrap();
         let mat = materialize(&net, SMALL_NET_CAP).unwrap();
         let degree = distinct_degree(&mat);
         let mapped = ir.node_map().to_vec();
